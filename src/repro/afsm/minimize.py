@@ -210,6 +210,7 @@ def minimize_design(
         FlowObligation,
         FlowProof,
         machine_flow_obligations,
+        _CompiledMachine,
         _machine_signature,
     )
 
@@ -222,8 +223,9 @@ def minimize_design(
         machine, report = minimize_machine(controller.machine)
         reports.append(report)
         if report.applied:
+            compiled = _CompiledMachine(machine)
             obligations, counterexample = machine_flow_obligations(
-                controller.machine, machine
+                controller.machine, machine, compiled
             )
             proofs.append(
                 FlowProof(
@@ -232,7 +234,7 @@ def minimize_design(
                     index,
                     "proved",
                     obligations,
-                    _machine_signature(machine),
+                    _machine_signature(machine, compiled),
                     counterexample,
                 )
             )
@@ -244,7 +246,9 @@ def minimize_design(
                     index,
                     "refuted",
                     [FlowObligation("gate", "refuted", report.gate_failure)],
-                    _machine_signature(controller.machine),
+                    _machine_signature(
+                        controller.machine, _CompiledMachine(controller.machine)
+                    ),
                 )
             )
         else:

@@ -48,10 +48,16 @@ pass the designs are burst-mode machines, so per-register streams
 become per-observable event streams: the *stream language* of each
 observable — every GLOBAL_READY wire (rise/fall events) and every
 datapath action (the rising local request that triggers it, resolved
-through LT5 wire merges) — must be preserved exactly.  Languages are
-compared by epsilon-free subset construction with a breadth-first
-product walk; a mismatch yields the shortest distinguishing event
-word.
+through LT5 wire merges) — must be preserved exactly.  Each machine
+is compiled once per check: a single pass over its transitions records
+every transition's wire edges and launched actions, and each
+observable's projection (an NFA whose unobservable transitions are
+epsilon moves) is built from those rows with every state's
+epsilon-closure computed once.  Languages are compared by subset
+construction with a breadth-first product walk; a mismatch yields the
+shortest distinguishing event word.  The compiled ``after`` machine
+also yields the certificate's per-observable DFA fingerprints, so a
+check projects each machine once.
 
 Every check emits a :class:`FlowProof` certificate; a workload-level
 :class:`FlowReport` (``repro verify --proofs``) aggregates them and
@@ -62,10 +68,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.afsm.machine import BurstModeMachine, Transition
+from repro.afsm.machine import BurstModeMachine
 from repro.afsm.signals import SignalKind
 from repro.cdfg.arc import Arc, ArcRole, ArcTag
 from repro.cdfg.graph import Cdfg
@@ -757,72 +764,105 @@ def machine_observables(machine: BurstModeMachine) -> Set[Observable]:
     return observables
 
 
-def _event_map(
-    machine: BurstModeMachine, observable: Observable
-) -> Dict[int, Optional[str]]:
-    """Transition uid -> event symbol for ``observable`` (None = tau).
+class _CompiledMachine:
+    """A machine compiled for stream-language checks.
 
-    Wire observables see their rises/falls in either burst; action
-    observables see the rising local request that launches them.
-    Falling local edges and acknowledgments are unobservable — that is
-    exactly the freedom LT1–LT4 exploit.
+    One pass over the transitions records, per transition, ``src``,
+    ``dst``, the last edge each wire makes on it (input edges first,
+    then output edges, so the last edge wins) and the datapath actions
+    its rising output edges launch.  Wire observables see their
+    rises/falls in either burst; action observables see the rising
+    local request that launches them (a rising edge on an undeclared
+    wire launches nothing).  Falling local edges and acknowledgments
+    are unobservable — that is exactly the freedom LT1–LT4 exploit.
+    Projections are built from these rows on first use and memoized
+    by their per-row event symbols, so observables that label the same
+    transitions alike share one NFA.
     """
-    events: Dict[int, Optional[str]] = {}
-    for transition in machine.transitions():
-        symbol: Optional[str] = None
-        if observable[0] == "wire":
-            name = observable[1]
-            for burst_edges in (
-                transition.input_burst.edges,
-                transition.output_burst.edges,
-            ):
-                for edge in burst_edges:
-                    if edge.signal == name:
-                        symbol = "+" if edge.rising else "-"
-        else:
-            action = observable[1]
+
+    def __init__(self, machine: BurstModeMachine):
+        self.initial_state = machine.initial_state
+        signals = {signal.name: signal for signal in machine.signals()}
+        self.rows: List[Tuple[str, str, Dict[str, str], Set[tuple]]] = []
+        for transition in machine.transitions():
+            wires = {
+                edge.signal: edge.direction
+                for edge in transition.input_burst.edges + transition.output_burst.edges
+            }
+            actions: Set[tuple] = set()
             for edge in transition.output_burst.edges:
-                if not edge.rising:
-                    continue
-                try:
-                    signal = machine.signal(edge.signal)
-                except Exception:  # noqa: BLE001 — undeclared wire: no action
-                    continue
-                if action in _flatten_actions(signal):
-                    symbol = "!"
-        events[transition.uid] = symbol
-    return events
+                if edge.rising and edge.signal in signals:
+                    actions.update(_flatten_actions(signals[edge.signal]))
+            self.rows.append((transition.src, transition.dst, wires, actions))
+        self._projections: Dict[Tuple[Optional[str], ...], _Projection] = {}
+
+    def actions(self) -> Set[tuple]:
+        """Every datapath action some rising output edge launches."""
+        return set().union(*(actions for __, __, __, actions in self.rows))
+
+    def projection(self, observable: Observable) -> "_Projection":
+        name = observable[1]
+        if observable[0] == "wire":
+            symbols = tuple(wires.get(name) for __, __, wires, __ in self.rows)
+        else:
+            symbols = tuple(
+                "!" if name in actions else None for __, __, __, actions in self.rows
+            )
+        projection = self._projections.get(symbols)
+        if projection is None:
+            projection = self._projections[symbols] = _Projection(self, symbols)
+        return projection
 
 
 class _Projection:
     """One machine projected onto one observable: an NFA whose
-    non-event transitions are epsilon moves, determinized lazily."""
+    non-event transitions are epsilon moves, determinized lazily.
+    Each state's epsilon-closure is computed once, and so is the
+    closure of its successors on each symbol; a subset's step is the
+    union of its states' closed successors."""
 
-    def __init__(self, machine: BurstModeMachine, observable: Observable):
-        self.machine = machine
-        self.events = _event_map(machine, observable)
+    def __init__(
+        self, compiled: _CompiledMachine, symbols: Tuple[Optional[str], ...]
+    ):
+        self.initial_state = compiled.initial_state
+        #: state -> epsilon successors
+        self._tau: Dict[str, List[str]] = {}
+        #: symbol -> state -> successors on that symbol
+        moves: Dict[str, Dict[str, List[str]]] = {}
+        for (src, dst, __, __), symbol in zip(compiled.rows, symbols):
+            if symbol is None:
+                self._tau.setdefault(src, []).append(dst)
+            else:
+                moves.setdefault(symbol, {}).setdefault(src, []).append(dst)
+        self._closures: Dict[str, FrozenSet[str]] = {}
+        #: symbol -> state -> epsilon-closure of its successors
+        self._posts: Dict[str, Dict[str, FrozenSet[str]]] = {
+            symbol: {state: self.closure(dsts) for state, dsts in by_state.items()}
+            for symbol, by_state in moves.items()
+        }
 
-    def closure(self, states: FrozenSet[str]) -> FrozenSet[str]:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            state = stack.pop()
-            for transition in self.machine.transitions_from(state):
-                if self.events[transition.uid] is None and transition.dst not in seen:
-                    seen.add(transition.dst)
-                    stack.append(transition.dst)
-        return frozenset(seen)
+    def _state_closure(self, state: str) -> FrozenSet[str]:
+        closure = self._closures.get(state)
+        if closure is None:
+            seen = {state}
+            stack = [state]
+            while stack:
+                for dst in self._tau.get(stack.pop(), ()):
+                    if dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+            closure = self._closures[state] = frozenset(seen)
+        return closure
+
+    def closure(self, states) -> FrozenSet[str]:
+        return frozenset().union(*map(self._state_closure, states))
 
     def initial(self) -> FrozenSet[str]:
-        return self.closure(frozenset({self.machine.initial_state}))
+        return self._state_closure(self.initial_state)
 
     def step(self, states: FrozenSet[str], symbol: str) -> FrozenSet[str]:
-        after: Set[str] = set()
-        for state in states:
-            for transition in self.machine.transitions_from(state):
-                if self.events[transition.uid] == symbol:
-                    after.add(transition.dst)
-        return self.closure(frozenset(after))
+        posts = self._posts.get(symbol, {})
+        return frozenset().union(*[posts[state] for state in states if state in posts])
 
 
 _ALPHABET: Dict[str, Tuple[str, ...]] = {"wire": ("+", "-"), "act": ("!",)}
@@ -833,16 +873,21 @@ def stream_language_counterexample(
 ) -> Optional[List[str]]:
     """Shortest event word separating the two machines' projected
     stream languages, or None when the languages are equal."""
-    alphabet = _ALPHABET[observable[0]]
-    proj_a = _Projection(before, observable)
-    proj_b = _Projection(after, observable)
+    return _separating_word(
+        _CompiledMachine(before).projection(observable),
+        _CompiledMachine(after).projection(observable),
+        _ALPHABET[observable[0]],
+    )
+
+
+def _separating_word(
+    proj_a: _Projection, proj_b: _Projection, alphabet: Tuple[str, ...]
+) -> Optional[List[str]]:
     start = (proj_a.initial(), proj_b.initial())
-    queue: List[Tuple[FrozenSet[str], FrozenSet[str], List[str]]] = [
-        (start[0], start[1], [])
-    ]
+    queue = deque([(start[0], start[1], [])])
     seen = {start}
     while queue:
-        set_a, set_b, word = queue.pop(0)
+        set_a, set_b, word = queue.popleft()
         for symbol in alphabet:
             next_a = proj_a.step(set_a, symbol)
             next_b = proj_b.step(set_b, symbol)
@@ -862,8 +907,14 @@ def observable_signature(
 ) -> Dict[str, object]:
     """Canonical DFA fingerprint of one observable's stream language
     (discovery-order subset numbering makes it deterministic)."""
-    alphabet = _ALPHABET[observable[0]]
-    projection = _Projection(machine, observable)
+    return _dfa_signature(
+        _CompiledMachine(machine).projection(observable), _ALPHABET[observable[0]]
+    )
+
+
+def _dfa_signature(
+    projection: _Projection, alphabet: Tuple[str, ...]
+) -> Dict[str, object]:
     numbering: Dict[FrozenSet[str], int] = {}
     table: List[List[int]] = []
     queue: List[FrozenSet[str]] = []
@@ -893,10 +944,18 @@ def observable_signature(
 
 
 def machine_flow_obligations(
-    before: BurstModeMachine, after: BurstModeMachine
+    before: BurstModeMachine,
+    after: BurstModeMachine,
+    compiled_after: Optional[_CompiledMachine] = None,
 ) -> Tuple[List[FlowObligation], Optional[Dict[str, object]]]:
     """The machine-level flow obligations shared by the LT checks and
-    the minimization gate; returns (obligations, counterexample)."""
+    the minimization gate; returns (obligations, counterexample).
+
+    A caller that also fingerprints ``after`` passes its
+    ``compiled_after`` so both share the projections."""
+    compiled_before = _CompiledMachine(before)
+    if compiled_after is None:
+        compiled_after = _CompiledMachine(after)
     obligations: List[FlowObligation] = []
     counterexample: Optional[Dict[str, object]] = None
 
@@ -923,7 +982,11 @@ def machine_flow_obligations(
     )
     separated: Optional[Tuple[Observable, List[str]]] = None
     for observable in observables:
-        word = stream_language_counterexample(before, after, observable)
+        word = _separating_word(
+            compiled_before.projection(observable),
+            compiled_after.projection(observable),
+            _ALPHABET[observable[0]],
+        )
         if word is not None:
             separated = (observable, word)
             break
@@ -951,8 +1014,8 @@ def machine_flow_obligations(
             )
         )
 
-    old_actions = _machine_actions(before)
-    new_actions = _machine_actions(after)
+    old_actions = compiled_before.actions()
+    new_actions = compiled_after.actions()
     if old_actions != new_actions:
         obligations.append(
             FlowObligation(
@@ -985,23 +1048,15 @@ def _global_edges(machine: BurstModeMachine, outputs: bool) -> Set[Tuple[str, bo
     return edges
 
 
-def _machine_actions(machine: BurstModeMachine) -> Set[tuple]:
-    actions: Set[tuple] = set()
-    for transition in machine.transitions():
-        for edge in transition.output_burst.edges:
-            if not edge.rising:
-                continue
-            try:
-                signal = machine.signal(edge.signal)
-            except Exception:  # noqa: BLE001
-                continue
-            actions.update(_flatten_actions(signal))
-    return actions
-
-
-def _machine_signature(machine: BurstModeMachine) -> Dict[str, Dict[str, object]]:
+def _machine_signature(
+    machine: BurstModeMachine, compiled: _CompiledMachine
+) -> Dict[str, Dict[str, object]]:
+    """Per-observable DFA fingerprints of ``machine``, read from its
+    compiled projections (shared with the flow obligations)."""
     return {
-        _observable_key(observable): observable_signature(machine, observable)
+        _observable_key(observable): _dfa_signature(
+            compiled.projection(observable), _ALPHABET[observable[0]]
+        )
         for observable in sorted(machine_observables(machine), key=_observable_key)
     }
 
@@ -1016,7 +1071,10 @@ def check_local_flow(
     machine: the observable stream languages must be preserved."""
     if not report.applied:
         return FlowProof(report.name, report.machine, index, "no-op")
-    obligations, counterexample = machine_flow_obligations(before, after)
+    compiled_after = _CompiledMachine(after)
+    obligations, counterexample = machine_flow_obligations(
+        before, after, compiled_after
+    )
     verdict = "refuted" if any(not o.proved for o in obligations) else "proved"
     return FlowProof(
         report.name,
@@ -1024,7 +1082,7 @@ def check_local_flow(
         index,
         verdict,
         obligations,
-        _machine_signature(after),
+        _machine_signature(after, compiled_after),
         counterexample,
     )
 

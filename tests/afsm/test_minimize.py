@@ -129,6 +129,46 @@ class TestMinimizeDesign:
             assert set(controller.input_wires) == set(original.input_wires)
             assert set(controller.output_wires) == set(original.output_wires)
 
+    def test_certificates_fingerprint_the_kept_machine(
+        self, diffeq_design, monkeypatch
+    ):
+        """A proved certificate fingerprints the quotient and a
+        gate-refuted one the original machine, exactly as a fresh
+        per-observable projection does."""
+        from repro.verify import flow
+
+        def fresh_signature(machine):
+            return {
+                flow._observable_key(observable): flow.observable_signature(
+                    machine, observable
+                )
+                for observable in flow.machine_observables(machine)
+            }
+
+        minimized, __, proofs = minimize_design(diffeq_design)
+        proved = [p for p in proofs if p.verdict == "proved"]
+        assert proved
+        for proof in proved:
+            machine = minimized.controllers[proof.subject].machine
+            assert proof.streams == fresh_signature(machine)
+
+        monkeypatch.setattr(
+            flow,
+            "machine_flow_obligations",
+            lambda before, after: (
+                [flow.FlowObligation("streams", "refuted", "injected")],
+                None,
+            ),
+        )
+        __, __, refused = minimize_design(diffeq_design)
+        assert [p.subject for p in refused if p.verdict == "refuted"] == [
+            p.subject for p in proved
+        ]
+        for proof in refused:
+            if proof.verdict == "refuted":
+                machine = diffeq_design.controllers[proof.subject].machine
+                assert proof.streams == fresh_signature(machine)
+
     @pytest.mark.parametrize("workload", ["gcd", "ewf", "fir"])
     def test_other_workloads_conformant(self, workload):
         from repro.transforms import optimize_global
