@@ -132,11 +132,12 @@ def _equivalence_classes(machine: BurstModeMachine) -> Dict[str, str]:
 
 
 def minimize_machine(
-    machine: BurstModeMachine,
+    machine: BurstModeMachine, tables: Optional[dict] = None
 ) -> Tuple[BurstModeMachine, MinimizeReport]:
     """Quotient ``machine`` by simulation equivalence, gated by the
     flow checker.  Returns ``(minimized-or-original, report)``; the
-    input machine is never mutated."""
+    input machine is never mutated.  ``tables`` is the gate's DFA-table
+    memo (see :func:`repro.verify.flow.machine_flow_obligations`)."""
     from repro.verify.flow import machine_flow_obligations
 
     report = MinimizeReport(
@@ -174,7 +175,7 @@ def minimize_machine(
 
     # the gate: the quotient must be observationally flow-equivalent
     # and still a valid burst-mode machine
-    obligations, __ = machine_flow_obligations(machine, work)
+    obligations, __ = machine_flow_obligations(machine, work, tables=tables)
     refuted = [o for o in obligations if not o.proved]
     if refuted:
         report.gate_failure = f"{refuted[0].name}: {refuted[0].detail}"
@@ -205,12 +206,12 @@ def minimize_design(
     Returns ``(new design, reports, flow proofs)`` — one ``minimize``
     stage :class:`~repro.verify.flow.FlowProof` per machine, refuted
     (and the original machine kept) when the gate rejects a quotient.
+    The gates and the certificates share one DFA-table memo.
     """
     from repro.verify.flow import (
         FlowObligation,
         FlowProof,
         machine_flow_obligations,
-        _CompiledMachine,
         _machine_signature,
     )
 
@@ -219,13 +220,13 @@ def minimize_design(
     )
     reports: List[MinimizeReport] = []
     proofs: List[FlowProof] = []
+    tables: dict = {}
     for index, (fu, controller) in enumerate(design.controllers.items()):
-        machine, report = minimize_machine(controller.machine)
+        machine, report = minimize_machine(controller.machine, tables)
         reports.append(report)
         if report.applied:
-            compiled = _CompiledMachine(machine)
             obligations, counterexample = machine_flow_obligations(
-                controller.machine, machine, compiled
+                controller.machine, machine, tables=tables
             )
             proofs.append(
                 FlowProof(
@@ -234,7 +235,7 @@ def minimize_design(
                     index,
                     "proved",
                     obligations,
-                    _machine_signature(machine, compiled),
+                    _machine_signature(machine, tables),
                     counterexample,
                 )
             )
@@ -246,9 +247,7 @@ def minimize_design(
                     index,
                     "refuted",
                     [FlowObligation("gate", "refuted", report.gate_failure)],
-                    _machine_signature(
-                        controller.machine, _CompiledMachine(controller.machine)
-                    ),
+                    _machine_signature(controller.machine, tables),
                 )
             )
         else:

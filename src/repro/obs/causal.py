@@ -30,7 +30,7 @@ critical path have slack ``0.0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "CausalEvent",
@@ -57,57 +57,95 @@ class CausalEvent:
 
 
 class EventTrace:
-    """Recorder attached to an :class:`~repro.sim.kernel.EventKernel`."""
+    """Recorder attached to an :class:`~repro.sim.kernel.EventKernel`.
+
+    The hot path stores flat rows: ``on_schedule`` keeps one
+    ``(at, delay, parent, label)`` tuple per uid and ``on_execute``
+    appends the uid to the execution order.  :class:`CausalEvent`
+    objects are built on demand by the queries, once per trace state,
+    so repeated queries return the same objects.
+    """
 
     def __init__(self) -> None:
-        self.events: Dict[int, CausalEvent] = {}
+        #: uid -> (at, delay, parent uid, label)
+        self._rows: Dict[int, Tuple[float, float, Optional[int], Optional[str]]] = {}
+        #: uids in execution order (each uid executes at most once)
+        self._order: List[int] = []
         self.current: Optional[int] = None  # uid of the executing event
-        self._order = 0
-        #: execution-order list, maintained incrementally: each uid
-        #: executes at most once, so appending in :meth:`on_execute`
-        #: keeps this permanently sorted by ``order`` and every query
-        #: below reads it instead of re-sorting the full event dict
+        #: (row count, executed count) the materialized view was built at
+        self._view_at: Tuple[int, int] = (-1, -1)
+        self._events: Dict[int, CausalEvent] = {}
         self._executed: List[CausalEvent] = []
 
     # called by the kernel -------------------------------------------------
     def on_schedule(self, uid: int, at: float, delay: float, label: Optional[str]) -> None:
-        self.events[uid] = CausalEvent(
-            uid=uid, at=at, delay=delay, time=at + delay, parent=self.current, label=label
-        )
+        self._rows[uid] = (at, delay, self.current, label)
 
     def on_execute(self, uid: int) -> None:
-        event = self.events[uid]
-        event.order = self._order
-        self._order += 1
+        self._order.append(uid)
         self.current = uid
-        self._executed.append(event)
 
     # queries --------------------------------------------------------------
+    def _view(self) -> None:
+        """Build the :class:`CausalEvent` view of the rows (cached until
+        the kernel schedules or executes another event)."""
+        state = (len(self._rows), len(self._order))
+        if state == self._view_at:
+            return
+        events = {
+            uid: CausalEvent(
+                uid=uid, at=at, delay=delay, time=at + delay, parent=parent, label=label
+            )
+            for uid, (at, delay, parent, label) in self._rows.items()
+        }
+        executed = []
+        for order, uid in enumerate(self._order):
+            event = events[uid]
+            event.order = order
+            executed.append(event)
+        self._events, self._executed, self._view_at = events, executed, state
+
+    @property
+    def events(self) -> Dict[int, CausalEvent]:
+        """Every scheduled event by uid (``order`` is -1 until it ran)."""
+        self._view()
+        return self._events
+
     def executed(self) -> List[CausalEvent]:
         """Events whose callback actually ran, in execution order."""
+        self._view()
         return list(self._executed)
 
     def last_event(self) -> Optional[CausalEvent]:
         """The final executed event — the one that set the kernel's end time."""
-        if not self._executed:
+        if not self._order:
             return None
+        self._view()
         return self._executed[-1]
+
+    def _chain_uids(self, uid: Optional[int]) -> List[int]:
+        """Uids of the parent chain root -> ``uid`` (default: the last
+        executed event), read straight from the rows."""
+        if uid is None:
+            if not self._order:
+                return []
+            uid = self._order[-1]
+        rows = self._rows
+        path: List[int] = []
+        cursor: Optional[int] = uid
+        while cursor is not None:
+            path.append(cursor)
+            cursor = rows[cursor][2]
+        path.reverse()
+        return path
 
     def chain(self, uid: Optional[int] = None) -> List[CausalEvent]:
         """Parent chain root -> ``uid`` (default: the last executed event)."""
-        if uid is None:
-            last = self.last_event()
-            if last is None:
-                return []
-            uid = last.uid
-        path: List[CausalEvent] = []
-        cursor: Optional[int] = uid
-        while cursor is not None:
-            event = self.events[cursor]
-            path.append(event)
-            cursor = event.parent
-        path.reverse()
-        return path
+        path = self._chain_uids(uid)
+        if not path:
+            return []
+        events = self.events
+        return [events[cursor] for cursor in path]
 
     def to_dicts(self) -> List[Dict[str, object]]:
         return [
@@ -148,17 +186,14 @@ def critical_path(
     :func:`path_delay_sum` over the filtered path still reproduces the
     terminal event's time.
     """
-    segments = [
-        Segment(
-            label=event.label or "(unlabeled)",
-            start=event.at,
-            end=event.time,
-            delay=event.delay,
-        )
-        for event in trace.chain(end_uid)
-    ]
-    if not include_zero:
-        segments = [segment for segment in segments if segment.delay > 0.0]
+    rows = trace._rows
+    segments = []
+    for uid in trace._chain_uids(end_uid):
+        at, delay, __, label = rows[uid]
+        if include_zero or delay > 0.0:
+            segments.append(
+                Segment(label=label or "(unlabeled)", start=at, end=at + delay, delay=delay)
+            )
     return segments
 
 

@@ -17,7 +17,8 @@ transitions whose input bursts are satisfied:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.afsm.machine import BurstModeMachine, Transition
 from repro.afsm.signals import SignalKind
@@ -87,9 +88,99 @@ class GlobalWire:
         return self.pending[(fu, True)] + self.pending[(fu, False)]
 
 
+#: kinds of compiled guard entries, input consumes and output actions
+_COND, _WIRE, _ACK, _CONSUME, _EMIT, _REQUEST, _RAISE = range(7)
+
+
+def _compile(build, runtime: "ControllerRuntime", item) -> tuple:
+    """``build(runtime, item)``, or a ``(_RAISE, error, None)`` entry
+    when the machine names something the runtime cannot serve: the
+    error is raised when the entry is reached, at the same step and
+    with the same message as a live read of the machine."""
+    try:
+        return build(runtime, item)
+    except Exception as exc:  # noqa: BLE001 — replayed when reached
+        return (_RAISE, exc, None)
+
+
+def _cond_entry(runtime: "ControllerRuntime", cond) -> tuple:
+    signal = runtime.machine.signal(cond.signal)
+    assert signal.action is not None and signal.action[0] == "cond"
+    return (_COND, signal.action[1], cond.high)
+
+
+def _input_entry(runtime: "ControllerRuntime", edge) -> tuple:
+    kind = runtime.machine.signal(edge.signal).kind
+    if kind is SignalKind.GLOBAL_READY:
+        return (_WIRE, runtime.wires[edge.signal].pending, (runtime.fu, edge.rising))
+    if kind is SignalKind.LOCAL_ACK:
+        return (_ACK, edge.signal, 1 if edge.rising else 0)
+    raise SimulationError(f"{runtime.fu}: unexpected input {edge.signal}")
+
+
+def _consume_entry(runtime: "ControllerRuntime", edge) -> Optional[tuple]:
+    if runtime.machine.signal(edge.signal).kind is not SignalKind.GLOBAL_READY:
+        return None
+    wire = runtime.wires[edge.signal]
+    consume = wire.consume_ddc if edge.ddc else wire.consume
+    return (_CONSUME, partial(consume, runtime.fu, edge.rising), None)
+
+
+def _output_entry(runtime: "ControllerRuntime", edge) -> tuple:
+    signal = runtime.machine.signal(edge.signal)
+    if signal.kind is SignalKind.GLOBAL_READY:
+        return (_EMIT, runtime.wires[edge.signal], edge.rising)
+    if signal.kind is SignalKind.LOCAL_REQ:
+        assert signal.action is not None
+        drive = runtime.datapath.request if edge.rising else runtime.datapath.release
+        return (_REQUEST, partial(drive, signal.action), (signal.partner, 1 if edge.rising else 0))
+    raise SimulationError(f"{runtime.fu}: cannot drive {edge.signal}")
+
+
+class _Row:
+    """One outgoing transition compiled against a runtime.
+
+    ``guard`` holds the input burst's conditions, then its compulsory
+    edges, in burst order, as ``(_COND, register, high)``,
+    ``(_WIRE, pending dict, (fu, rising))`` or
+    ``(_ACK, ack name, level)`` entries; ``consumes`` its global input
+    edges (ddc edges included) as ``(_CONSUME, pre-bound
+    consume/consume_ddc, None)`` entries; ``outputs`` the output burst as
+    ``(_EMIT, wire, rising)`` and ``(_REQUEST, pre-bound datapath
+    request/release, (ack, level))`` entries.  Rows hold no reference
+    back to the runtime, so a finished simulation is freed by reference
+    counting.
+    """
+
+    __slots__ = ("transition", "dst", "label", "guard", "consumes", "outputs")
+
+    def __init__(self, runtime: "ControllerRuntime", transition: Transition):
+        self.transition = transition
+        self.dst = transition.dst
+        fragment = transition.tags.get("node") or f"{transition.src}->{transition.dst}"
+        self.label = f"ctrl:{runtime.fu}:{fragment}"
+        burst = transition.input_burst
+        self.guard = tuple(
+            [_compile(_cond_entry, runtime, cond) for cond in burst.conditions]
+            + [_compile(_input_entry, runtime, edge) for edge in burst.compulsory_edges]
+        )
+        consumes = (_compile(_consume_entry, runtime, edge) for edge in burst.edges)
+        self.consumes = tuple(entry for entry in consumes if entry is not None)
+        self.outputs = tuple(
+            _compile(_output_entry, runtime, edge)
+            for edge in transition.output_burst.edges
+        )
+
+
 @dataclass
 class ControllerRuntime:
-    """One controller's dynamic state."""
+    """One controller's dynamic state.
+
+    Each state's outgoing transitions are compiled into rows
+    (:class:`_Row`) on its first visit — the machine is frozen for the
+    lifetime of a simulation — so a poke evaluates pre-resolved guard
+    tuples instead of re-reading signal kinds and formatting labels.
+    """
 
     fu: str
     machine: BurstModeMachine
@@ -101,107 +192,85 @@ class ControllerRuntime:
     state: str = ""
     busy: bool = False
     transitions_taken: int = 0
-    #: per-state snapshot of ``machine.transitions_from`` — the machine
-    #: is frozen for the lifetime of a simulation, and re-sorting the
-    #: transition list on every poke dominated the kernel profile
-    _transitions: Dict[str, tuple] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.state = self.machine.initial_state
         for signal in self.machine.signals():
             if signal.kind is SignalKind.LOCAL_ACK:
                 self.ack_levels[signal.name] = 0
+        #: state -> its outgoing transitions' compiled rows, uid order
+        self._rows: Dict[str, Tuple[_Row, ...]] = {}
+        self._poke_label = f"poke:{self.fu}"
 
     # ------------------------------------------------------------------
     def poke(self) -> None:
         """Schedule an enablement check (called on any input change)."""
-        self.kernel.schedule(0.0, self._step, label=f"poke:{self.fu}")
+        self.kernel.schedule(0.0, self._step, self._poke_label)
 
     def _step(self) -> None:
         if self.busy:
             return
-        transitions = self._transitions.get(self.state)
-        if transitions is None:
-            transitions = tuple(self.machine.transitions_from(self.state))
-            self._transitions[self.state] = transitions
-        enabled = [t for t in transitions if self._satisfied(t)]
+        rows = self._rows.get(self.state)
+        if rows is None:
+            rows = self._rows[self.state] = tuple(
+                _Row(self, transition)
+                for transition in self.machine.transitions_from(self.state)
+            )
+        enabled = [row for row in rows if self._satisfied(row.guard)]
         if not enabled:
             return
         if len(enabled) > 1:
             raise SimulationError(
                 f"{self.fu}: nondeterministic choice in state {self.state}: "
-                + " | ".join(str(t.input_burst) for t in enabled)
+                + " | ".join(str(row.transition.input_burst) for row in enabled)
             )
-        transition = enabled[0]
+        row = enabled[0]
         self.busy = True
-        fragment = transition.tags.get("node") or f"{transition.src}->{transition.dst}"
-        self.kernel.schedule(
-            CONTROL_DELAY,
-            lambda: self._fire(transition),
-            label=f"ctrl:{self.fu}:{fragment}",
-        )
+        self.kernel.schedule(CONTROL_DELAY, partial(self._fire, row), row.label)
 
-    def _satisfied(self, transition: Transition) -> bool:
-        for cond in transition.input_burst.conditions:
-            signal = self.machine.signal(cond.signal)
-            assert signal.action is not None and signal.action[0] == "cond"
-            if self.datapath.condition_level(signal.action[1]) != cond.high:
-                return False
-        for edge in transition.input_burst.compulsory_edges:
-            signal = self.machine.signal(edge.signal)
-            if signal.kind is SignalKind.GLOBAL_READY:
-                if not self.wires[edge.signal].available(self.fu, edge.rising):
+    def _satisfied(self, guard: tuple) -> bool:
+        for kind, subject, expected in guard:
+            if kind is _WIRE:
+                if subject[expected] <= 0:
                     return False
-            elif signal.kind is SignalKind.LOCAL_ACK:
-                expected = 1 if edge.rising else 0
-                if self.ack_levels[edge.signal] != expected:
+            elif kind is _ACK:
+                if self.ack_levels[subject] != expected:
+                    return False
+            elif kind is _COND:
+                if self.datapath.condition_level(subject) != expected:
                     return False
             else:
-                raise SimulationError(f"{self.fu}: unexpected input {edge.signal}")
+                raise subject
         return True
 
-    def _fire(self, transition: Transition) -> None:
+    def _fire(self, row: _Row) -> None:
         self.busy = False
-        if not self._satisfied(transition):
+        if not self._satisfied(row.guard):
             # inputs changed during the control delay; re-evaluate
             self.poke()
             return
-        for edge in transition.input_burst.edges:
-            signal = self.machine.signal(edge.signal)
-            if signal.kind is SignalKind.GLOBAL_READY:
-                if edge.ddc:
-                    self.wires[edge.signal].consume_ddc(self.fu, edge.rising)
-                else:
-                    self.wires[edge.signal].consume(self.fu, edge.rising)
-        self.state = transition.dst
+        for kind, subject, __ in row.consumes:
+            if kind is _RAISE:
+                raise subject
+            subject()
+        self.state = row.dst
         self.transitions_taken += 1
-        for edge in transition.output_burst.edges:
-            signal = self.machine.signal(edge.signal)
-            if signal.kind is SignalKind.GLOBAL_READY:
-                self.wires[edge.signal].emit(self.kernel.now, edge.rising)
+        for kind, subject, detail in row.outputs:
+            if kind is _EMIT:
+                subject.emit(self.kernel.now, detail)
                 if self.poke_all is not None:
                     self.poke_all()  # wake the receivers
-            elif signal.kind is SignalKind.LOCAL_REQ:
-                self._drive_request(signal.name, edge.rising)
+            elif kind is _REQUEST:
+                subject(partial(self._acknowledge, *detail))
             else:
-                raise SimulationError(f"{self.fu}: cannot drive {edge.signal}")
+                raise subject
         self.poke()
 
-    def _drive_request(self, req: str, rising: bool) -> None:
-        signal = self.machine.signal(req)
-        assert signal.action is not None
-
-        ack = signal.partner
-
-        def complete() -> None:
-            if ack is not None and ack in self.ack_levels:
-                self.ack_levels[ack] = 1 if rising else 0
-            self.poke()
-
-        if rising:
-            self.datapath.request(signal.action, complete)
-        else:
-            self.datapath.release(signal.action, complete)
+    def _acknowledge(self, ack: Optional[str], level: int) -> None:
+        """Datapath completion of a request: the partner ack follows."""
+        if ack is not None and ack in self.ack_levels:
+            self.ack_levels[ack] = level
+        self.poke()
 
     #: injected by the system: wakes every controller after an emission
     poke_all: Optional[Callable[[], None]] = None

@@ -21,7 +21,7 @@ repeating in the window.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
@@ -58,10 +58,11 @@ class EventKernel:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        heapq.heappush(self._queue, (self.now + delay, self._sequence, callback, label))
+        sequence, now = self._sequence, self.now
+        heappush(self._queue, (now + delay, sequence, callback, label))
         if self.trace is not None:
-            self.trace.on_schedule(self._sequence, self.now, delay, label)
-        self._sequence += 1
+            self.trace.on_schedule(sequence, now, delay, label)
+        self._sequence = sequence + 1
 
     def pending(self) -> int:
         return len(self._queue)
@@ -73,23 +74,29 @@ class EventKernel:
         successive ``run()`` calls each get the full budget, while
         ``events_processed`` keeps the cumulative total for reporting.
         """
-        processed = 0
-        while self._queue:
-            if processed >= max_events:
-                recent = ", ".join(self.recent_labels) or "(no labeled events)"
-                raise SimulationError(
-                    f"simulation exceeded {max_events} events "
-                    f"(livelock or runaway loop?) at t={self.now:.3f} "
-                    f"with {len(self._queue)} events still pending; "
-                    f"last executed: {recent}"
-                )
-            time, sequence, callback, label = heapq.heappop(self._queue)
-            self.now = time
-            processed += 1
-            self.events_processed += 1
-            if label is not None:
-                self.recent_labels.append(label)
-            if self.trace is not None:
-                self.trace.on_execute(sequence)
-            callback()
+        queue = self._queue
+        remember = self.recent_labels.append
+        record = None if self.trace is None else self.trace.on_execute
+        processed = self.events_processed
+        limit = processed + max_events
+        try:
+            while queue:
+                if processed >= limit:
+                    recent = ", ".join(self.recent_labels) or "(no labeled events)"
+                    raise SimulationError(
+                        f"simulation exceeded {max_events} events "
+                        f"(livelock or runaway loop?) at t={self.now:.3f} "
+                        f"with {len(queue)} events still pending; "
+                        f"last executed: {recent}"
+                    )
+                time, sequence, callback, label = heappop(queue)
+                self.now = time
+                processed += 1
+                if label is not None:
+                    remember(label)
+                if record is not None:
+                    record(sequence)
+                callback()
+        finally:
+            self.events_processed = processed
         return self.now

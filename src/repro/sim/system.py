@@ -139,6 +139,12 @@ class ControllerSystem:
                     recent_events=tuple(self.kernel.recent_labels),
                 )
 
+        # the runtimes reach back to this system only to wake each
+        # other; dropping that link leaves a finished simulation (trace
+        # included) acyclic, so it is freed as soon as its caller lets go
+        for runtime in self.controllers.values():
+            runtime.poke_all = None
+
         violations: List[str] = []
         for wire in self.wires.values():
             violations.extend(wire.violations)

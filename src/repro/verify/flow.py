@@ -70,10 +70,12 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.afsm.machine import BurstModeMachine
 from repro.afsm.signals import SignalKind
+from repro.cache.fingerprint import fingerprint_cdfg, fingerprint_plan
 from repro.cdfg.arc import Arc, ArcRole, ArcTag
 from repro.cdfg.graph import Cdfg
 from repro.cdfg.kinds import NodeKind
@@ -533,8 +535,44 @@ def _obligation_gt3_witnesses(
     )
 
 
+#: a memoized token run: its write streams and violations
+TokenRun = Tuple[Dict[str, List[float]], List[str]]
+
+
+def _token_key(cdfg: Cdfg, plan, seed) -> tuple:
+    """Content key of one token run under a memo's delay model."""
+    return (fingerprint_cdfg(cdfg), None if plan is None else fingerprint_plan(plan), seed)
+
+
+def _token_run(
+    runs: Dict[tuple, TokenRun],
+    cdfg: Cdfg,
+    delays: Optional[DelayModel],
+    seed,
+    plan=None,
+) -> TokenRun:
+    """One ``strict=False`` token run's write streams and violations,
+    memoized in ``runs`` by content (:func:`_token_key`: the CDFG and
+    plan fingerprints and the seed).  ``delays`` is not in the key — a
+    memo is scoped to one delay model.  Only finished runs are stored:
+    an exception (a stuck design, but also a point timeout or a
+    ``MemoryError``) is not a property of the content, so it propagates
+    and the next lookup simulates again."""
+    key = _token_key(cdfg, plan, seed)
+    run = runs.get(key)
+    if run is None:
+        result = simulate_tokens(
+            cdfg, delay_model=delays, seed=seed, channel_plan=plan, strict=False
+        )
+        run = runs[key] = (result.write_streams(), list(result.violations))
+    return run
+
+
 def _obligation_occupancy(
-    report: TransformReport, after: Cdfg, delays: Optional[DelayModel]
+    report: TransformReport,
+    after: Cdfg,
+    delays: Optional[DelayModel],
+    runs: Dict[tuple, TokenRun],
 ) -> FlowObligation:
     plan = report.artifacts.get("channel_plan")
     if plan is None:
@@ -548,18 +586,16 @@ def _obligation_occupancy(
         )
     for seed in (NOMINAL, 0, 1):
         try:
-            result = simulate_tokens(
-                after, delay_model=delays, seed=seed, channel_plan=plan, strict=False
-            )
+            __, violations = _token_run(runs, after, delays, seed, plan)
         except Exception as exc:  # noqa: BLE001
             return FlowObligation(
                 "occupancy", "refuted", f"simulation under plan failed (seed {seed!r}): {exc}"
             )
-        if result.violations:
+        if violations:
             return FlowObligation(
                 "occupancy",
                 "refuted",
-                f"merged-channel safety violated (seed {seed!r}): {result.violations[0]}",
+                f"merged-channel safety violated (seed {seed!r}): {violations[0]}",
             )
     return FlowObligation(
         "occupancy", "proved", "plan covers all inter-FU arcs; merged wires safe"
@@ -572,6 +608,7 @@ def _schedule_counterexample(
     delays: Optional[DelayModel],
     plan,
     racing: Optional[Race],
+    runs: Dict[tuple, TokenRun],
 ) -> Dict[str, object]:
     """Search for a concrete schedule separating the two designs.
 
@@ -579,14 +616,14 @@ def _schedule_counterexample(
     streams (flow equivalence makes them schedule-independent).  The
     search stresses the racing nodes' functional units to both delay
     extremes, then falls back to sampled seeds; every trial is
-    deterministic, so the counterexample replays exactly.
+    deterministic, so the counterexample replays exactly.  Trials
+    under ``delays`` share the ``runs`` memo; a stress override is a
+    different delay model, so its trials run in a fresh one.
     """
     base = delays or DelayModel()
-    spec = simulate_tokens(
-        before, delay_model=base, seed=NOMINAL, strict=False
-    ).write_streams()
+    spec, __ = _token_run(runs, before, delays, NOMINAL)
 
-    trials: List[Tuple[str, DelayModel, object]] = []
+    trials: List[Tuple[str, Dict[tuple, TokenRun], DelayModel, object]] = []
     if racing is not None:
         units: List[str] = []
         for copy_id in racing[2:]:
@@ -600,18 +637,17 @@ def _schedule_counterexample(
                 trials.append(
                     (
                         f"override {fu} delay to {list(interval)}",
+                        {},
                         base.with_override(fu, None, interval),
                         NOMINAL,
                     )
                 )
     for seed in range(_COUNTEREXAMPLE_SEEDS):
-        trials.append((f"sampled delays, seed {seed}", base, seed))
+        trials.append((f"sampled delays, seed {seed}", runs, delays, seed))
 
-    for description, model, seed in trials:
+    for description, memo, model, seed in trials:
         try:
-            result = simulate_tokens(
-                after, delay_model=model, seed=seed, channel_plan=plan, strict=False
-            )
+            streams, violations = _token_run(memo, after, model, seed, plan)
         except Exception as exc:  # noqa: BLE001 — a crash is itself a witness
             return {
                 "kind": "schedule",
@@ -619,7 +655,7 @@ def _schedule_counterexample(
                 "seed": None if seed is NOMINAL else seed,
                 "effect": f"simulation failed: {exc}",
             }
-        divergence = _first_stream_divergence(spec, result.write_streams())
+        divergence = _first_stream_divergence(spec, streams)
         if divergence is not None:
             var, want, have = divergence
             return {
@@ -630,12 +666,12 @@ def _schedule_counterexample(
                 "expected_stream": want,
                 "observed_stream": have,
             }
-        if result.violations:
+        if violations:
             return {
                 "kind": "schedule",
                 "description": description,
                 "seed": None if seed is NOMINAL else seed,
-                "effect": f"channel safety: {result.violations[0]}",
+                "effect": f"channel safety: {violations[0]}",
             }
     payload: Dict[str, object] = {
         "kind": "potential-race",
@@ -652,10 +688,17 @@ def check_global_flow(
     after: Cdfg,
     delays: Optional[DelayModel] = None,
     index: int = 0,
+    runs: Optional[Dict[tuple, TokenRun]] = None,
 ) -> FlowProof:
-    """Discharge the flow-equivalence obligations of one GT pass."""
+    """Discharge the flow-equivalence obligations of one GT pass.
+
+    ``runs`` memoizes the token runs by content across the checks of
+    one oracle (see :func:`_token_run`); without it the check uses a
+    fresh memo."""
     if not report.applied:
         return FlowProof(report.name, "cdfg", index, "no-op")
+    if runs is None:
+        runs = {}
 
     plan = report.artifacts.get("channel_plan")
     obligations = [_obligation_order(report, before, after)]
@@ -664,16 +707,12 @@ def check_global_flow(
     if report.name == "GT3":
         obligations.append(_obligation_gt3_witnesses(report, before, delays))
     if report.name == "GT5":
-        obligations.append(_obligation_occupancy(report, after, delays))
+        obligations.append(_obligation_occupancy(report, after, delays, runs))
 
-    spec = simulate_tokens(
-        before, delay_model=delays, seed=NOMINAL, strict=False
-    ).write_streams()
+    spec, __ = _token_run(runs, before, delays, NOMINAL)
     nominal_counterexample: Optional[Dict[str, object]] = None
     try:
-        result = simulate_tokens(
-            after, delay_model=delays, seed=NOMINAL, strict=False, channel_plan=plan
-        )
+        got, __ = _token_run(runs, after, delays, NOMINAL, plan)
     except Exception as exc:  # noqa: BLE001 — a stuck design refutes the pass
         got: Dict[str, List[float]] = {}
         divergence = None
@@ -689,7 +728,6 @@ def check_global_flow(
             "effect": f"simulation failed: {type(exc).__name__}: {exc}",
         }
     else:
-        got = result.write_streams()
         divergence = _first_stream_divergence(spec, got)
     if nominal_counterexample is not None:
         pass
@@ -722,7 +760,7 @@ def check_global_flow(
     counterexample = None
     if any(not o.proved for o in obligations):
         counterexample = nominal_counterexample or _schedule_counterexample(
-            before, after, delays, plan, racing
+            before, after, delays, plan, racing, runs
         )
     verdict = "refuted" if counterexample is not None or any(
         not o.proved for o in obligations
@@ -764,62 +802,118 @@ def machine_observables(machine: BurstModeMachine) -> Set[Observable]:
     return observables
 
 
+#: a determinized projection: row ``i`` holds the successor of subset
+#: ``i`` on each alphabet symbol (``-1``: the empty subset); subsets
+#: are numbered in breadth-first discovery order from the initial one
+DfaTable = Tuple[Tuple[int, ...], ...]
+
+#: content key of one projected NFA: ``(initial state, ((src, dst), ...),
+#: per-transition symbols, alphabet)`` — the NFA itself, so equal keys
+#: determinize to equal tables and accept equal languages
+TableKey = Tuple[str, Tuple[Tuple[str, str], ...], Tuple[Optional[str], ...], Tuple[str, ...]]
+
+_ALPHABET: Dict[str, Tuple[str, ...]] = {"wire": ("+", "-"), "act": ("!",)}
+
+
 class _CompiledMachine:
     """A machine compiled for stream-language checks.
 
-    One pass over the transitions records, per transition, ``src``,
-    ``dst``, the last edge each wire makes on it (input edges first,
-    then output edges, so the last edge wins) and the datapath actions
-    its rising output edges launch.  Wire observables see their
-    rises/falls in either burst; action observables see the rising
-    local request that launches them (a rising edge on an undeclared
-    wire launches nothing).  Falling local edges and acknowledgments
-    are unobservable — that is exactly the freedom LT1–LT4 exploit.
-    Projections are built from these rows on first use and memoized
-    by their per-row event symbols, so observables that label the same
-    transitions alike share one NFA.
+    One pass over the transitions records each transition's
+    ``(src, dst)``, the last edge each wire makes on it (input edges
+    first, then output edges, so the last edge wins), the datapath
+    actions its rising output edges launch (a rising edge on an
+    undeclared wire launches nothing) and the global handshake edges.
+    Wire observables see their rises/falls in either burst; action
+    observables see the rising local request that launches them.
+    Falling local edges and acknowledgments are unobservable — that is
+    exactly the freedom LT1–LT4 exploit.  Each observable's projection
+    is named by its :data:`TableKey`; its DFA table is looked up by
+    that key in a caller-scoped memo and determinized only on a miss.
     """
 
     def __init__(self, machine: BurstModeMachine):
         self.initial_state = machine.initial_state
+        self.observables = machine_observables(machine)
         signals = {signal.name: signal for signal in machine.signals()}
-        self.rows: List[Tuple[str, str, Dict[str, str], Set[tuple]]] = []
-        for transition in machine.transitions():
-            wires = {
-                edge.signal: edge.direction
-                for edge in transition.input_burst.edges + transition.output_burst.edges
-            }
-            actions: Set[tuple] = set()
-            for edge in transition.output_burst.edges:
-                if edge.rising and edge.signal in signals:
-                    actions.update(_flatten_actions(signals[edge.signal]))
-            self.rows.append((transition.src, transition.dst, wires, actions))
-        self._projections: Dict[Tuple[Optional[str], ...], _Projection] = {}
+        ready = {
+            name for name, signal in signals.items() if signal.kind is SignalKind.GLOBAL_READY
+        }
+        transitions = machine.transitions()
+        self.edges = tuple((t.src, t.dst) for t in transitions)
+        #: per transition: wire -> its last edge's direction
+        self._wires: List[Dict[str, str]] = []
+        #: action -> per-transition "!" where a rising output edge launches it
+        self._actions: Dict[tuple, List[Optional[str]]] = {}
+        #: (wire, rising) edges on GLOBAL_READY signals, per burst
+        self._handshake: Dict[bool, Set[Tuple[str, bool]]] = {False: set(), True: set()}
+        for position, transition in enumerate(transitions):
+            wires: Dict[str, str] = {}
+            bursts = ((False, transition.input_burst), (True, transition.output_burst))
+            for output, burst in bursts:
+                for edge in burst.edges:
+                    name = edge.signal
+                    wires[name] = "+" if edge.rising else "-"
+                    if name in ready:
+                        self._handshake[output].add((name, edge.rising))
+                    if output and edge.rising and name in signals:
+                        for action in _flatten_actions(signals[name]):
+                            column = self._actions.get(action)
+                            if column is None:
+                                column = self._actions[action] = [None] * len(transitions)
+                            column[position] = "!"
+            self._wires.append(wires)
+        self._symbols: Dict[Observable, Tuple[Optional[str], ...]] = {}
 
     def actions(self) -> Set[tuple]:
         """Every datapath action some rising output edge launches."""
-        return set().union(*(actions for __, __, __, actions in self.rows))
+        return set(self._actions)
 
-    def projection(self, observable: Observable) -> "_Projection":
-        name = observable[1]
-        if observable[0] == "wire":
-            symbols = tuple(wires.get(name) for __, __, wires, __ in self.rows)
-        else:
-            symbols = tuple(
-                "!" if name in actions else None for __, __, __, actions in self.rows
+    def global_edges(self, outputs: bool) -> Set[Tuple[str, bool]]:
+        """The (wire, rising) edges on GLOBAL_READY signals in the
+        output (or input) bursts."""
+        return self._handshake[outputs]
+
+    def symbols(self, observable: Observable) -> Tuple[Optional[str], ...]:
+        """The symbol each transition emits on ``observable`` (None:
+        an epsilon move)."""
+        symbols = self._symbols.get(observable)
+        if symbols is None:
+            if observable[0] == "wire":
+                symbols = tuple(map(methodcaller("get", observable[1]), self._wires))
+            else:
+                column = self._actions.get(observable[1])
+                symbols = tuple(column) if column else (None,) * len(self.edges)
+            self._symbols[observable] = symbols
+        return symbols
+
+    def table_key(self, observable: Observable) -> TableKey:
+        return (
+            self.initial_state,
+            self.edges,
+            self.symbols(observable),
+            _ALPHABET[observable[0]],
+        )
+
+    def table(
+        self, observable: Observable, tables: Dict[TableKey, DfaTable]
+    ) -> DfaTable:
+        """The DFA table of this machine's projection on ``observable``,
+        looked up in ``tables`` by its :data:`TableKey`."""
+        key = self.table_key(observable)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _dfa_table(
+                _Projection(self, self.symbols(observable)), _ALPHABET[observable[0]]
             )
-        projection = self._projections.get(symbols)
-        if projection is None:
-            projection = self._projections[symbols] = _Projection(self, symbols)
-        return projection
+        return table
 
 
 class _Projection:
     """One machine projected onto one observable: an NFA whose
-    non-event transitions are epsilon moves, determinized lazily.
-    Each state's epsilon-closure is computed once, and so is the
-    closure of its successors on each symbol; a subset's step is the
-    union of its states' closed successors."""
+    non-event transitions are epsilon moves.  Each state's
+    epsilon-closure is computed once, and so is the closure of its
+    successors on each symbol; a subset's step is the union of its
+    states' closed successors."""
 
     def __init__(
         self, compiled: _CompiledMachine, symbols: Tuple[Optional[str], ...]
@@ -829,7 +923,7 @@ class _Projection:
         self._tau: Dict[str, List[str]] = {}
         #: symbol -> state -> successors on that symbol
         moves: Dict[str, Dict[str, List[str]]] = {}
-        for (src, dst, __, __), symbol in zip(compiled.rows, symbols):
+        for (src, dst), symbol in zip(compiled.edges, symbols):
             if symbol is None:
                 self._tau.setdefault(src, []).append(dst)
             else:
@@ -865,35 +959,42 @@ class _Projection:
         return frozenset().union(*[posts[state] for state in states if state in posts])
 
 
-_ALPHABET: Dict[str, Tuple[str, ...]] = {"wire": ("+", "-"), "act": ("!",)}
-
-
-def stream_language_counterexample(
-    before: BurstModeMachine, after: BurstModeMachine, observable: Observable
-) -> Optional[List[str]]:
-    """Shortest event word separating the two machines' projected
-    stream languages, or None when the languages are equal."""
-    return _separating_word(
-        _CompiledMachine(before).projection(observable),
-        _CompiledMachine(after).projection(observable),
-        _ALPHABET[observable[0]],
-    )
+def _dfa_table(projection: _Projection, alphabet: Tuple[str, ...]) -> DfaTable:
+    """Subset construction in breadth-first discovery order."""
+    numbering: Dict[FrozenSet[str], int] = {projection.initial(): 0}
+    queue: List[FrozenSet[str]] = [projection.initial()]
+    table: List[Tuple[int, ...]] = []
+    for subset in queue:
+        row: List[int] = []
+        for symbol in alphabet:
+            target = projection.step(subset, symbol)
+            if not target:
+                row.append(-1)
+                continue
+            number = numbering.get(target)
+            if number is None:
+                number = numbering[target] = len(queue)
+                queue.append(target)
+            row.append(number)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _separating_word(
-    proj_a: _Projection, proj_b: _Projection, alphabet: Tuple[str, ...]
+    table_a: DfaTable, table_b: DfaTable, alphabet: Tuple[str, ...]
 ) -> Optional[List[str]]:
-    start = (proj_a.initial(), proj_b.initial())
-    queue = deque([(start[0], start[1], [])])
-    seen = {start}
+    """Shortest word on which exactly one table has a move (breadth-
+    first over subset-number pairs, symbols in alphabet order)."""
+    queue = deque([(0, 0, [])])
+    seen = {(0, 0)}
     while queue:
-        set_a, set_b, word = queue.popleft()
-        for symbol in alphabet:
-            next_a = proj_a.step(set_a, symbol)
-            next_b = proj_b.step(set_b, symbol)
-            if bool(next_a) != bool(next_b):
+        state_a, state_b, word = queue.popleft()
+        row_a, row_b = table_a[state_a], table_b[state_b]
+        for position, symbol in enumerate(alphabet):
+            next_a, next_b = row_a[position], row_b[position]
+            if (next_a < 0) != (next_b < 0):
                 return word + [symbol]
-            if not next_a:
+            if next_a < 0:
                 continue
             pair = (next_a, next_b)
             if pair not in seen:
@@ -902,40 +1003,40 @@ def _separating_word(
     return None
 
 
+def _observable_word(
+    compiled_a: _CompiledMachine,
+    compiled_b: _CompiledMachine,
+    observable: Observable,
+    tables: Dict[TableKey, DfaTable],
+) -> Optional[List[str]]:
+    if compiled_a.table_key(observable) == compiled_b.table_key(observable):
+        return None  # one NFA, one language
+    return _separating_word(
+        compiled_a.table(observable, tables),
+        compiled_b.table(observable, tables),
+        _ALPHABET[observable[0]],
+    )
+
+
+def stream_language_counterexample(
+    before: BurstModeMachine, after: BurstModeMachine, observable: Observable
+) -> Optional[List[str]]:
+    """Shortest event word separating the two machines' projected
+    stream languages, or None when the languages are equal."""
+    return _observable_word(
+        _CompiledMachine(before), _CompiledMachine(after), observable, {}
+    )
+
+
 def observable_signature(
     machine: BurstModeMachine, observable: Observable
 ) -> Dict[str, object]:
     """Canonical DFA fingerprint of one observable's stream language
     (discovery-order subset numbering makes it deterministic)."""
-    return _dfa_signature(
-        _CompiledMachine(machine).projection(observable), _ALPHABET[observable[0]]
-    )
+    return _table_signature(_CompiledMachine(machine).table(observable, {}))
 
 
-def _dfa_signature(
-    projection: _Projection, alphabet: Tuple[str, ...]
-) -> Dict[str, object]:
-    numbering: Dict[FrozenSet[str], int] = {}
-    table: List[List[int]] = []
-    queue: List[FrozenSet[str]] = []
-
-    def number(subset: FrozenSet[str]) -> int:
-        if subset not in numbering:
-            numbering[subset] = len(numbering)
-            table.append([])
-            queue.append(subset)
-        return numbering[subset]
-
-    number(projection.initial())
-    position = 0
-    while position < len(queue):
-        subset = queue[position]
-        row: List[int] = []
-        for symbol in alphabet:
-            target = projection.step(subset, symbol)
-            row.append(-1 if not target else number(target))
-        table[numbering[subset]] = row
-        position += 1
+def _table_signature(table: DfaTable) -> Dict[str, object]:
     blob = json.dumps(table).encode("utf-8")
     return {
         "digest": hashlib.blake2b(blob, digest_size=8).hexdigest(),
@@ -946,24 +1047,25 @@ def _dfa_signature(
 def machine_flow_obligations(
     before: BurstModeMachine,
     after: BurstModeMachine,
-    compiled_after: Optional[_CompiledMachine] = None,
+    tables: Optional[Dict[TableKey, DfaTable]] = None,
 ) -> Tuple[List[FlowObligation], Optional[Dict[str, object]]]:
     """The machine-level flow obligations shared by the LT checks and
     the minimization gate; returns (obligations, counterexample).
 
-    A caller that also fingerprints ``after`` passes its
-    ``compiled_after`` so both share the projections."""
+    ``tables`` memoizes DFA tables by :data:`TableKey` across the
+    checks of one scope (a fresh memo when omitted)."""
+    if tables is None:
+        tables = {}
     compiled_before = _CompiledMachine(before)
-    if compiled_after is None:
-        compiled_after = _CompiledMachine(after)
+    compiled_after = _CompiledMachine(after)
     obligations: List[FlowObligation] = []
     counterexample: Optional[Dict[str, object]] = None
 
     mismatched: List[str] = []
     for outputs in (True, False):
         direction = "output" if outputs else "input"
-        old = _global_edges(before, outputs)
-        new = _global_edges(after, outputs)
+        old = compiled_before.global_edges(outputs)
+        new = compiled_after.global_edges(outputs)
         if old != new:
             mismatched.append(
                 f"{direction} edges {sorted(old - new)} lost, {sorted(new - old)} gained"
@@ -978,15 +1080,11 @@ def machine_flow_obligations(
         )
 
     observables = sorted(
-        machine_observables(before) | machine_observables(after), key=_observable_key
+        compiled_before.observables | compiled_after.observables, key=_observable_key
     )
     separated: Optional[Tuple[Observable, List[str]]] = None
     for observable in observables:
-        word = _separating_word(
-            compiled_before.projection(observable),
-            compiled_after.projection(observable),
-            _ALPHABET[observable[0]],
-        )
+        word = _observable_word(compiled_before, compiled_after, observable, tables)
         if word is not None:
             separated = (observable, word)
             break
@@ -1034,30 +1132,15 @@ def machine_flow_obligations(
     return obligations, counterexample
 
 
-def _global_edges(machine: BurstModeMachine, outputs: bool) -> Set[Tuple[str, bool]]:
-    edges: Set[Tuple[str, bool]] = set()
-    for transition in machine.transitions():
-        burst = transition.output_burst if outputs else transition.input_burst
-        for edge in burst.edges:
-            try:
-                kind = machine.signal(edge.signal).kind
-            except Exception:  # noqa: BLE001
-                continue
-            if kind is SignalKind.GLOBAL_READY:
-                edges.add((edge.signal, edge.rising))
-    return edges
-
-
 def _machine_signature(
-    machine: BurstModeMachine, compiled: _CompiledMachine
+    machine: BurstModeMachine, tables: Dict[TableKey, DfaTable]
 ) -> Dict[str, Dict[str, object]]:
-    """Per-observable DFA fingerprints of ``machine``, read from its
-    compiled projections (shared with the flow obligations)."""
+    """Per-observable DFA fingerprints of a machine: digests of its DFA
+    tables, read through the memo the flow obligations filled."""
+    compiled = _CompiledMachine(machine)
     return {
-        _observable_key(observable): _dfa_signature(
-            compiled.projection(observable), _ALPHABET[observable[0]]
-        )
-        for observable in sorted(machine_observables(machine), key=_observable_key)
+        _observable_key(observable): _table_signature(compiled.table(observable, tables))
+        for observable in sorted(compiled.observables, key=_observable_key)
     }
 
 
@@ -1066,15 +1149,19 @@ def check_local_flow(
     before: BurstModeMachine,
     after: BurstModeMachine,
     index: int = 0,
+    tables: Optional[Dict[TableKey, DfaTable]] = None,
 ) -> FlowProof:
     """Discharge the flow-equivalence obligations of one LT pass on one
-    machine: the observable stream languages must be preserved."""
+    machine: the observable stream languages must be preserved.
+
+    ``tables`` memoizes DFA tables by content across the checks of one
+    oracle, so a ``before`` machine the previous pass produced is not
+    determinized again (a fresh memo when omitted)."""
     if not report.applied:
         return FlowProof(report.name, report.machine, index, "no-op")
-    compiled_after = _CompiledMachine(after)
-    obligations, counterexample = machine_flow_obligations(
-        before, after, compiled_after
-    )
+    if tables is None:
+        tables = {}
+    obligations, counterexample = machine_flow_obligations(before, after, tables)
     verdict = "refuted" if any(not o.proved for o in obligations) else "proved"
     return FlowProof(
         report.name,
@@ -1082,7 +1169,7 @@ def check_local_flow(
         index,
         verdict,
         obligations,
-        _machine_signature(after, compiled_after),
+        _machine_signature(after, tables),
         counterexample,
     )
 
@@ -1103,9 +1190,12 @@ def make_flow_global_oracle(
     only collected.
     """
     proofs = collect if collect is not None else []
+    runs: Dict[tuple, TokenRun] = {}
 
     def oracle(report: TransformReport, before: Cdfg, after: Cdfg) -> None:
-        proof = check_global_flow(report, before, after, delays=delays, index=len(proofs))
+        proof = check_global_flow(
+            report, before, after, delays=delays, index=len(proofs), runs=runs
+        )
         proofs.append(proof)
         if strict and not proof.proved:
             raise FlowRefutedError(f"flow[{report.name}]: {proof.failure()}")
@@ -1119,11 +1209,12 @@ def make_flow_local_oracle(
     """Per-LT flow-proof oracle for :func:`optimize_local` (message
     prefix ``flow[LTn]:`` on refutation)."""
     proofs = collect if collect is not None else []
+    tables: Dict[TableKey, DfaTable] = {}
 
     def oracle(
         report: LocalReport, before: BurstModeMachine, after: BurstModeMachine
     ) -> None:
-        proof = check_local_flow(report, before, after, index=len(proofs))
+        proof = check_local_flow(report, before, after, index=len(proofs), tables=tables)
         proofs.append(proof)
         if strict and not proof.proved:
             raise FlowRefutedError(

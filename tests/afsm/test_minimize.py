@@ -71,7 +71,7 @@ class TestMinimizeMachine:
         monkeypatch.setattr(
             flow,
             "machine_flow_obligations",
-            lambda before, after: (
+            lambda before, after, **__: (
                 [FlowObligation("streams", "refuted", "injected")],
                 None,
             ),
@@ -155,7 +155,7 @@ class TestMinimizeDesign:
         monkeypatch.setattr(
             flow,
             "machine_flow_obligations",
-            lambda before, after: (
+            lambda before, after, **__: (
                 [flow.FlowObligation("streams", "refuted", "injected")],
                 None,
             ),

@@ -233,3 +233,65 @@ MUTANTS: Tuple[Mutant, ...] = (
 )
 
 KILLABLE = tuple(m for m in MUTANTS if m.expect == "killed")
+
+
+# ----------------------------------------------------------------------
+# key-completeness mutants: a memo key loses one of its inputs
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class KeyMutant:
+    """A content key that forgets one input, so the memo serves one
+    content's result for another.  Killed when the memoized proof
+    engine's certificates differ from the no-reuse reference
+    (``tests/verify/memo_campaign.py``)."""
+
+    name: str
+    description: str
+    arm: Callable[[], object]
+
+
+def _dropped(key: tuple, position: int) -> tuple:
+    return key[:position] + (None,) + key[position + 1 :]
+
+
+@contextmanager
+def table_key_without(position: int) -> Iterator[None]:
+    """``_CompiledMachine.table_key`` with input ``position`` blanked."""
+    from repro.verify.flow import _CompiledMachine
+
+    real = _CompiledMachine.table_key
+
+    def forgetful(self, observable):
+        return _dropped(real(self, observable), position)
+
+    with _patched(_CompiledMachine, "table_key", forgetful):
+        yield
+
+
+@contextmanager
+def token_key_without(position: int) -> Iterator[None]:
+    """``flow._token_key`` with input ``position`` blanked."""
+    from repro.verify import flow
+
+    real = flow._token_key
+
+    def forgetful(cdfg, plan, seed):
+        return _dropped(real(cdfg, plan, seed), position)
+
+    with _patched(flow, "_token_key", forgetful):
+        yield
+
+
+def _key_mutant(name: str, description: str, arm, position: int) -> KeyMutant:
+    return KeyMutant(name, description, lambda: arm(position))
+
+
+KEY_MUTANTS: Tuple[KeyMutant, ...] = (
+    _key_mutant("dfa-key-initial", "DFA key drops the initial state", table_key_without, 0),
+    _key_mutant("dfa-key-edges", "DFA key drops the (src, dst) edges", table_key_without, 1),
+    _key_mutant("dfa-key-symbols", "DFA key drops the transition symbols", table_key_without, 2),
+    _key_mutant("dfa-key-alphabet", "DFA key drops the alphabet", table_key_without, 3),
+    _key_mutant("token-key-cdfg", "token key drops the CDFG fingerprint", token_key_without, 0),
+    _key_mutant("token-key-plan", "token key drops the channel plan", token_key_without, 1),
+    _key_mutant("token-key-seed", "token key drops the seed", token_key_without, 2),
+)
